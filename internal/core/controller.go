@@ -98,6 +98,12 @@ type Controller struct {
 	bfdMetrics      *bfd.Metrics
 	updatesToRouter *telemetry.Counter
 
+	// advMu orders advertisements to the router: a processor step and the
+	// send of its output run under it, so updates computed from concurrent
+	// peer feeds reach the router in the order the processor produced
+	// them, and a stale next-hop cannot overtake a newer one.
+	advMu sync.Mutex
+
 	mu          sync.Mutex
 	peerSess    map[netip.Addr]*bgp.Session
 	routerSess  *bgp.Session
@@ -294,6 +300,8 @@ func (c *Controller) PeerDown(addr netip.Addr) {
 		c.cfg.Logf("core: peer %v down: engine: %v", addr, err)
 	}
 	c.cfg.Logf("core: peer %v down, %d rule(s) rewritten", addr, n)
+	c.advMu.Lock()
+	defer c.advMu.Unlock()
 	updates, err := c.proc.PeerDown(addr)
 	if err != nil {
 		c.cfg.Logf("core: peer %v down: processor: %v", addr, err)
@@ -317,6 +325,8 @@ func (c *Controller) peerSessionDown(addr netip.Addr) {
 }
 
 func (c *Controller) handlePeerUpdate(meta bgp.PeerMeta, u *bgp.Update) {
+	c.advMu.Lock()
+	defer c.advMu.Unlock()
 	out, err := c.proc.Process(meta, u)
 	if err != nil {
 		c.cfg.Logf("core: process update from %v: %v", meta.Addr, err)
@@ -338,6 +348,8 @@ func (c *Controller) sendToRouter(updates []*bgp.Update) {
 // resyncRouter replays the current advertisement state when the router
 // session (re)establishes.
 func (c *Controller) resyncRouter() {
+	c.advMu.Lock()
+	defer c.advMu.Unlock()
 	var updates []*bgp.Update
 	c.proc.RIB().Walk(func(p netip.Prefix, paths []*bgp.Path) bool {
 		if len(paths) == 0 {

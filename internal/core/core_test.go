@@ -216,6 +216,44 @@ func TestGroupCountMatchesPaperFormula(t *testing.T) {
 	}
 }
 
+func TestGroupsFormula(t *testing.T) {
+	// E4 through the processor: for every ordered peer pair (i, j),
+	// announce one prefix preferred via i with backup j. The processor
+	// must realize exactly n(n-1) backup-groups from the announcements.
+	for n := 2; n <= 6; n++ {
+		proc := NewProcessor(nil, NewGroupTable(NewVNHPool(AllocDeterministic)))
+		peers := make([]bgp.PeerMeta, n)
+		for i := range peers {
+			a := netip.AddrFrom4([4]byte{203, 0, 113, byte(i + 1)})
+			peers[i] = bgp.PeerMeta{Addr: a, AS: uint32(65000 + i), ID: a}
+		}
+		next := 0
+		for i := range peers {
+			for j := range peers {
+				if i == j {
+					continue
+				}
+				p := netip.PrefixFrom(netip.AddrFrom4([4]byte{20, 0, byte(next), 0}), 24)
+				next++
+				hi, lo := peers[i], peers[j]
+				hi.Weight, lo.Weight = 200, 100
+				for _, m := range []bgp.PeerMeta{hi, lo} {
+					u := &bgp.Update{
+						Attrs: &bgp.Attrs{Origin: bgp.OriginIGP, ASPath: bgp.Sequence(m.AS), NextHop: m.Addr},
+						NLRI:  []netip.Prefix{p},
+					}
+					if _, err := proc.Process(m, u); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if want := n * (n - 1); proc.Groups().Len() != want {
+			t.Fatalf("n=%d: %d groups, want %d", n, proc.Groups().Len(), want)
+		}
+	}
+}
+
 // --- processor (Listing 1) ---
 
 func TestProcessorSinglePathAnnouncedAsIs(t *testing.T) {

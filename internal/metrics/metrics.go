@@ -1,8 +1,7 @@
 // Package metrics provides the summary statistics the paper's evaluation
 // reports: box-plot five-number summaries (median, inter-quartile range,
 // 5th/95th-percentile whiskers, maxima) over convergence-time samples, plus
-// simple latency histograms and fixed-width table rendering for the
-// experiment harness.
+// fixed-width table rendering for the experiment reports.
 package metrics
 
 import (
@@ -125,45 +124,6 @@ func Seconds(sec float64) string {
 	default:
 		return fmt.Sprintf("%.0fns", sec*1e9)
 	}
-}
-
-// Histogram is a fixed-bucket latency histogram. Buckets are upper bounds in
-// seconds; samples above the last bound land in the overflow bucket.
-type Histogram struct {
-	Bounds   []float64
-	Counts   []int
-	Overflow int
-	N        int
-}
-
-// NewHistogram returns a Histogram with the given ascending bucket bounds.
-func NewHistogram(bounds ...float64) *Histogram {
-	if !sort.Float64sAreSorted(bounds) {
-		panic("metrics: histogram bounds must be ascending")
-	}
-	return &Histogram{Bounds: bounds, Counts: make([]int, len(bounds))}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.N++
-	for i, b := range h.Bounds {
-		if v <= b {
-			h.Counts[i]++
-			return
-		}
-	}
-	h.Overflow++
-}
-
-// String renders the histogram one bucket per line with counts.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	for i, bound := range h.Bounds {
-		fmt.Fprintf(&b, "≤%-8s %d\n", Seconds(bound), h.Counts[i])
-	}
-	fmt.Fprintf(&b, ">%-8s %d\n", Seconds(h.Bounds[len(h.Bounds)-1]), h.Overflow)
-	return b.String()
 }
 
 // Table renders rows of strings as a fixed-width text table with a header,

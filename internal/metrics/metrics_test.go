@@ -154,31 +154,6 @@ func TestSecondsFormatting(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0.001, 0.01, 0.1)
-	for _, v := range []float64{0.0005, 0.002, 0.05, 0.5, 0.09} {
-		h.Observe(v)
-	}
-	if h.N != 5 {
-		t.Fatalf("N = %d", h.N)
-	}
-	if h.Counts[0] != 1 || h.Counts[1] != 1 || h.Counts[2] != 2 || h.Overflow != 1 {
-		t.Fatalf("counts %v overflow %d", h.Counts, h.Overflow)
-	}
-	if !strings.Contains(h.String(), "≤1ms") {
-		t.Fatalf("histogram rendering missing bucket label:\n%s", h.String())
-	}
-}
-
-func TestHistogramPanicsOnUnsortedBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for unsorted bounds")
-		}
-	}()
-	NewHistogram(0.1, 0.01)
-}
-
 func TestTableRender(t *testing.T) {
 	tbl := &Table{Header: []string{"prefixes", "mode", "max"}}
 	tbl.Add(1000, "standalone", "0.9s")

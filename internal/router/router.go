@@ -67,8 +67,12 @@ type Router struct {
 	arpCache map[netip.Addr]packet.MAC
 	// pendingARP queues FIB operations waiting on next-hop resolution.
 	pendingARP map[netip.Addr][]dataplane.FIBOp
-	arpTimers  map[netip.Addr]clock.Timer
-	stopped    bool
+	// parkedOn maps a prefix to the next-hop its latest parked op waits
+	// on. A newer op for the prefix removes or moves the entry, so a late
+	// ARP reply cannot install a superseded next-hop over a newer one.
+	parkedOn  map[netip.Prefix]netip.Addr
+	arpTimers map[netip.Addr]clock.Timer
+	stopped   bool
 
 	buf *packet.Buffer
 
@@ -95,6 +99,7 @@ func New(cfg Config) *Router {
 		sessions:   make(map[netip.Addr]*bgp.Session),
 		arpCache:   make(map[netip.Addr]packet.MAC),
 		pendingARP: make(map[netip.Addr][]dataplane.FIBOp),
+		parkedOn:   make(map[netip.Prefix]netip.Addr),
 		arpTimers:  make(map[netip.Addr]clock.Timer),
 		buf:        packet.NewBuffer(),
 	}
@@ -199,7 +204,9 @@ func (r *Router) applyUpdate(meta bgp.PeerMeta, u *bgp.Update) {
 
 // enqueueChanges turns RIB changes into FIB operations, resolving
 // next-hops through ARP. Ops are enqueued in FIB walk order, preserving
-// the paper's entry-by-entry serialization.
+// the paper's entry-by-entry serialization. Ops that wait on an
+// unresolved next-hop are parked, and an ARP request goes out for each
+// next-hop that had nothing parked yet.
 func (r *Router) enqueueChanges(changes []bgp.Change) {
 	type pending struct {
 		pos int
@@ -209,6 +216,7 @@ func (r *Router) enqueueChanges(changes []bgp.Change) {
 	items := make([]pending, 0, len(changes))
 	r.mu.Lock()
 	for _, ch := range changes {
+		delete(r.parkedOn, ch.Prefix)
 		if len(ch.New) == 0 {
 			pos, _ := r.fib.Position(ch.Prefix)
 			items = append(items, pending{pos: pos, op: dataplane.FIBOp{Prefix: ch.Prefix, Delete: true}})
@@ -224,34 +232,32 @@ func (r *Router) enqueueChanges(changes []bgp.Change) {
 				Prefix: ch.Prefix, NH: dataplane.L2NH{MAC: mac, Port: 0},
 			}})
 		} else {
+			r.parkedOn[ch.Prefix] = nh
 			items = append(items, pending{pos: pos, op: dataplane.FIBOp{Prefix: ch.Prefix}, nh: nh})
 		}
 	}
-	r.mu.Unlock()
 
 	sort.SliceStable(items, func(i, j int) bool { return items[i].pos < items[j].pos })
 
 	var ready []dataplane.FIBOp
+	var request []netip.Addr
 	for _, it := range items {
 		if it.nh.IsValid() {
-			r.queueForARP(it.nh, it.op)
+			if len(r.pendingARP[it.nh]) == 0 {
+				request = append(request, it.nh)
+			}
+			r.pendingARP[it.nh] = append(r.pendingARP[it.nh], it.op)
 			continue
 		}
 		ready = append(ready, it.op)
 	}
+	// Enqueue under r.mu, as learnARP does, so parked ops it flushes
+	// cannot land behind newer ops for the same prefix.
 	if len(ready) > 0 {
 		r.fib.Enqueue(ready...)
 	}
-}
-
-// queueForARP parks an op until the next-hop resolves, kicking off an ARP
-// request if none is in flight.
-func (r *Router) queueForARP(nh netip.Addr, op dataplane.FIBOp) {
-	r.mu.Lock()
-	first := len(r.pendingARP[nh]) == 0
-	r.pendingARP[nh] = append(r.pendingARP[nh], op)
 	r.mu.Unlock()
-	if first {
+	for _, nh := range request {
 		r.sendARPRequest(nh)
 	}
 }
@@ -334,24 +340,30 @@ func (r *Router) handleARP(eth packet.Ethernet) {
 	}
 }
 
-// learnARP caches a resolution and flushes parked FIB operations.
+// learnARP caches a resolution and flushes parked FIB operations, dropping
+// those a newer op for the same prefix has superseded.
 func (r *Router) learnARP(ip netip.Addr, mac packet.MAC) {
 	r.mu.Lock()
 	r.arpCache[ip] = mac
-	parked := r.pendingARP[ip]
+	parked := r.pendingARP[ip][:0]
+	for _, op := range r.pendingARP[ip] {
+		if nh, ok := r.parkedOn[op.Prefix]; ok && nh == ip {
+			delete(r.parkedOn, op.Prefix)
+			parked = append(parked, op)
+		}
+	}
 	delete(r.pendingARP, ip)
 	if t, ok := r.arpTimers[ip]; ok {
 		t.Stop()
 		delete(r.arpTimers, ip)
 	}
-	r.mu.Unlock()
-	if len(parked) == 0 {
-		return
-	}
 	for i := range parked {
 		parked[i].NH = dataplane.L2NH{MAC: mac, Port: 0}
 	}
-	r.fib.Enqueue(parked...)
+	if len(parked) > 0 {
+		r.fib.Enqueue(parked...)
+	}
+	r.mu.Unlock()
 }
 
 // forward performs the LPM lookup and L2 rewrite.

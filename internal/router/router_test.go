@@ -285,6 +285,30 @@ func TestRouterDropsUnroutable(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return r.Drops() == 1 })
 }
 
+// A route whose next-hop changes while the old next-hop's ARP is still
+// outstanding must end on the new next-hop, whichever reply lands last.
+// This is the supercharged bring-up: the first feed arrives with a plain
+// provider next-hop, the second turns it into the VNH.
+func TestRouterLateARPReplyDoesNotOverrideNewerNextHop(t *testing.T) {
+	r := New(Config{AS: 65001, RouterID: routerIP, IfIP: routerIP, IfMAC: routerMAC})
+	meta := bgp.PeerMeta{Addr: peerIP, AS: 65002, ID: peerIP}
+	pfx := netip.MustParsePrefix("1.0.0.0/24")
+	announce := func(nh netip.Addr) {
+		r.applyUpdate(meta, &bgp.Update{
+			Attrs: &bgp.Attrs{Origin: bgp.OriginIGP, ASPath: bgp.Sequence(65002), NextHop: nh},
+			NLRI:  []netip.Prefix{pfx},
+		})
+	}
+	announce(peerIP)
+	announce(peer2IP)
+	r.learnARP(peer2IP, peer2MAC)
+	r.learnARP(peerIP, peerMAC) // the stale reply arrives last
+	waitFor(t, 5*time.Second, func() bool { return r.FIB().QueueLen() == 0 })
+	if nh, ok := r.FIB().Get(pfx); !ok || nh.MAC != peer2MAC {
+		t.Fatalf("FIB entry %v (present %v), want next-hop MAC %s", nh, ok, peer2MAC)
+	}
+}
+
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)

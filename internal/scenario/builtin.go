@@ -184,8 +184,8 @@ func init() {
 			"Installed switch rules keep forwarding (fail-standalone), but the " +
 			"failover rewrite waits for the controller to come back.",
 		Paper: "§5's single-point-of-failure discussion and the deterministic-" +
-			"allocation/replica story (examples/failover exercises the recovery " +
-			"half).",
+			"allocation/replica story (the replica-failover builtins exercise " +
+			"the recovery half).",
 		Expect: "The supercharger's worst case. The rewrite is deferred ~2.5 s " +
 			"while the standalone router converges on its own schedule — the one " +
 			"comparison where standalone wins (speedup < 1 at small table " +
@@ -231,7 +231,7 @@ func init() {
 			"peer (R2).",
 		Paper: "§3's group-table scaling analysis: with n peers the number of " +
 			"(primary, backup) groups is bounded by n(n-1), and E4 / " +
-			"`cmd/lab -experiment groups` measures that combinatorial growth. " +
+			"`core.TestGroupCountMatchesPaperFormula` checks that combinatorial growth. " +
 			"This scenario realizes a realistic slice of it — 12 distinct " +
 			"groups instead of paper-fig5's one — and checks convergence " +
 			"stays constant anyway.",
@@ -422,8 +422,8 @@ func init() {
 			"primary peer fails; the standby needs a slow 3 s takeover and " +
 			"the dead primary's in-flight FLOW_MODs are lost (non-durable), " +
 			"so the standby resyncs the switch after taking over.",
-		Paper: "§5's single-point-of-failure discussion and examples/" +
-			"failover's deterministic-VNH replica story, stress-tested: the " +
+		Paper: "§5's single-point-of-failure discussion and the " +
+			"deterministic-VNH replica story (ablation A1), stress-tested: the " +
 			"takeover window is when centralized convergence is worse than " +
 			"no centralization at all.",
 		Expect: "The crossover surface's failure axis — the builtin where " +
@@ -449,7 +449,8 @@ func init() {
 			"failover FLOW_MODs still in flight; the standby replays them.",
 		Paper: "The replica design §5 sketches (deterministic VNH allocation " +
 			"means the standby shares the primary's group table byte for " +
-			"byte; examples/failover demonstrates the allocation half).",
+			"byte; ablation A1, core.TestReplicaDeterminismAblation, checks the " +
+			"allocation half).",
 		Expect: "Centralization done right survives its own failure: the " +
 			"replayed FLOW_MODs land right after the 150 ms takeover, so " +
 			"supercharged convergence degrades from ~130 ms to ~300 ms — " +

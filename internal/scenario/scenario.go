@@ -11,11 +11,12 @@
 // into a testbed: a Spec names a topology (N provider peers with
 // per-peer feed sizes and preferences) and an event timeline; the
 // registry holds named built-in scenarios (paper-fig5, double-failure,
-// flap-storm, backup-then-primary, partial-withdraw, ...); Run drives the
-// virtual-clock lab and collects what each event did to the probed flows.
+// flap-storm, backup-then-primary, partial-withdraw, ...); Runner.Run
+// drives the virtual-clock lab and collects what each event did to the
+// probed flows.
 //
-// RunOne executes a single (mode, table size) cell — the independent unit
-// of work internal/sweep distributes across worker pools. Every built-in
+// Runner.RunUnit executes a single (mode, table size) cell — the
+// independent unit of work internal/sweep distributes across worker pools. Every built-in
 // is documented in docs/scenarios.md with its paper mapping and expected
 // qualitative outcome.
 package scenario

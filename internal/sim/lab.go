@@ -318,22 +318,6 @@ func (l *lab) pathWorks(r *router, pfx netip.Prefix) bool {
 
 // --- failure sequence ---
 
-// failProvider cuts the link to prov and schedules the BFD detection and
-// reaction pipeline (the single-shot Run path).
-func (l *lab) failProvider(prov *provider) {
-	cutAt := l.clk.Now()
-	l.linkDown(prov)
-	detect := time.Duration(l.cfg.BFDMult) * l.cfg.BFDInterval
-	prov.detect = l.clk.AfterFunc(detect, func() {
-		prov.detect = nil
-		if l.result.DetectAt == 0 {
-			l.result.DetectAt = l.clk.Now().Sub(l.failAbs)
-		}
-		l.traceDetect(0, prov, cutAt)
-		l.reactToFailure(prov)
-	})
-}
-
 // linkDown cuts the physical link: probes through this provider black-hole
 // immediately, before any detection or reaction.
 func (l *lab) linkDown(prov *provider) {

@@ -81,15 +81,8 @@ type Config struct {
 	// source (the paper's FPGA: ~14k pkt/s per flow ≈ 70 µs), which is
 	// also the measurement quantum.
 	ProbeInterval time.Duration
-	// FailAt is when the R2 link is cut (after setup).
+	// FailAt is when Run cuts the R2 link (after setup).
 	FailAt time.Duration
-	// SecondFailure, if positive, also cuts the backup R3 at
-	// FailAt+SecondFailure (ablation A2; meaningful with GroupSize ≥ 3
-	// and a third provider).
-	SecondFailure time.Duration
-	// Providers is the number of provider peers (default 2: R2 primary,
-	// R3 backup; A2 uses 3).
-	Providers int
 
 	// Cost prices the controller's work in virtual time (the
 	// centralization-economics model). The zero value is the free
@@ -132,7 +125,6 @@ func DefaultConfig(mode Mode, n int) Config {
 		FlowModLatency:  25 * time.Millisecond,
 		ProbeInterval:   70 * time.Microsecond,
 		FailAt:          time.Second,
-		Providers:       2,
 	}
 }
 
@@ -244,20 +236,46 @@ type provider struct {
 // (not flushed by a non-graceful session restart).
 func (p *provider) forwarding() bool { return p.up && p.session }
 
-// Run executes one convergence experiment and returns the measurements.
-// The context cancels the run between simulator events; a cancelled run
-// returns ctx's error and no partial result.
+// Run executes the paper's Fig. 5 experiment — providers R2 (primary)
+// and R3, one BFD-detected peer-down of R2 at FailAt — as a one-event
+// timeline, and reports every probed flow's first blackout. The context
+// cancels the run between simulator events; a cancelled run returns
+// ctx's error and no partial result.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.NumPrefixes <= 0 {
-		return nil, fmt.Errorf("sim: NumPrefixes must be positive")
-	}
 	cfg = cfg.withDefaults()
-	if cfg.Providers < 2 {
-		return nil, fmt.Errorf("sim: need at least 2 providers")
+	l, err := newTimelineLab(TimelineConfig{
+		Config: cfg,
+		Peers:  []PeerSpec{{Name: "R2"}, {Name: "R3"}},
+		Events: []TimelineEvent{{At: cfg.FailAt, Kind: EventPeerDown, Peer: "R2"}},
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	lab := newLab(cfg, nil, nil)
-	return lab.run(ctx)
+	tl, err := l.runTimeline(ctx)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Mode:             cfg.Mode,
+		NumPrefixes:      cfg.NumPrefixes,
+		DetectAt:         tl.Events[0].DetectAt,
+		ControlPlaneDone: tl.Elapsed - cfg.FailAt,
+		Groups:           tl.Groups,
+		RuleRewrites:     tl.RuleRewrites,
+	}
+	failAbs := l.events[0].absAt
+	for _, pr := range l.sortedProbes() {
+		if len(pr.outages) == 0 || !pr.outages[0].ended {
+			return nil, fmt.Errorf("sim: flow %v never recovered", pr.prefix)
+		}
+		first := pr.outages[0]
+		pos, _ := pr.rtr.fib.Position(pr.prefix)
+		res.Flows = append(res.Flows, FlowResult{Prefix: pr.prefix, Position: pos, Convergence: l.quantizedGap(pr, first)})
+		if d := first.end.Sub(failAbs); d > res.DataPlaneDone {
+			res.DataPlaneDone = d
+		}
+	}
+	return res, nil
 }
 
 // withDefaults fills zero fields from the calibrated DefaultConfig.
@@ -296,9 +314,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.FailAt == 0 {
 		cfg.FailAt = def.FailAt
 	}
-	if cfg.Providers == 0 {
-		cfg.Providers = def.Providers
-	}
 	return cfg
 }
 
@@ -325,10 +340,7 @@ type lab struct {
 	// Probes.
 	probes map[netip.Prefix]*probe
 
-	failAbs time.Time
-	result  *Result
-
-	// Timeline state (nil/zero outside RunTimeline).
+	// Timeline state.
 	tcfg          *TimelineConfig
 	events        []*eventState
 	base          time.Time
@@ -419,11 +431,9 @@ func (p *probe) closeAt(at time.Time) {
 	}
 }
 
-// newLab builds the lab. peers parameterizes the provider topology; nil
-// synthesizes cfg.Providers identical full-feed peers (R2 preferred, then
-// descending), the paper's fixed setup. routers parameterizes the
-// deployment; nil builds the classic single edge router whose class
-// follows cfg.Mode.
+// newLab builds the lab. peers parameterizes the provider topology;
+// routers parameterizes the deployment, nil building the classic single
+// edge router whose class follows cfg.Mode.
 func newLab(cfg Config, peers []PeerSpec, routers []RouterSpec) *lab {
 	src := cfg.Source
 	if src == nil {
@@ -436,7 +446,6 @@ func newLab(cfg Config, peers []PeerSpec, routers []RouterSpec) *lab {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		probes:  make(map[netip.Prefix]*probe),
 		targets: make(map[packet.MAC]*provider),
-		result:  &Result{Mode: cfg.Mode, NumPrefixes: cfg.NumPrefixes},
 	}
 	if len(routers) == 0 {
 		routers = []RouterSpec{{Supercharged: cfg.Mode == Supercharged}}
@@ -457,11 +466,6 @@ func newLab(cfg Config, peers []PeerSpec, routers []RouterSpec) *lab {
 			r.rng = rand.New(rand.NewSource(cfg.Seed + int64(i)*1_000_003))
 		}
 		l.routers = append(l.routers, r)
-	}
-	if peers == nil {
-		for i := 0; i < cfg.Providers; i++ {
-			peers = append(peers, PeerSpec{})
-		}
 	}
 	// Providers: R2 (primary, preferred via weight), R3, R4...
 	for i, spec := range peers {
@@ -511,63 +515,6 @@ func (l *lab) assignFeeds() {
 			prov.feed = l.table
 		}
 	}
-}
-
-func (l *lab) run(ctx context.Context) (*Result, error) {
-	cfg := l.cfg
-	l.traceStart()
-	l.table = feed.Generate(feed.Config{N: cfg.NumPrefixes, Seed: cfg.Seed})
-	l.assignFeeds()
-
-	if err := l.setup(ctx); err != nil {
-		return nil, err
-	}
-	l.wireMetrics()
-	l.setupProbes()
-	l.traceSetup()
-
-	// Schedule the failure relative to the post-setup clock (setup may
-	// have consumed virtual time draining rule installs).
-	failAbs := l.clk.Now().Add(cfg.FailAt)
-	l.failAbs = failAbs
-	l.clk.AfterFunc(cfg.FailAt, func() { l.failProvider(l.providers[0]) })
-	if cfg.SecondFailure > 0 && len(l.providers) > 2 {
-		l.clk.AfterFunc(cfg.FailAt+cfg.SecondFailure, func() { l.failProvider(l.providers[1]) })
-	}
-
-	// Drive the event loop dry. The FIB walk dominates: bound events
-	// generously.
-	if _, err := l.clk.Drive(ctx, 50_000_000); err != nil {
-		return nil, fmt.Errorf("sim: run cancelled: %w", err)
-	}
-
-	// Harvest measurements.
-	res := l.result
-	r0 := l.routers[0]
-	res.ControlPlaneDone = l.clk.Now().Sub(failAbs)
-	res.Groups = 0
-	if r0.proc != nil {
-		res.Groups = r0.proc.Groups().Len()
-		res.RuleRewrites = int(r0.engine.Rewrites())
-	}
-	for _, pr := range l.sortedProbes() {
-		if len(pr.outages) == 0 || !pr.outages[0].ended {
-			return nil, fmt.Errorf("sim: flow %v never recovered", pr.prefix)
-		}
-		// Only the first blackout anchors the single-failure measurement
-		// (a later failure must not shift an already-measured flow).
-		first := pr.outages[0]
-		conv := l.quantizedGap(pr, first)
-		pos, _ := pr.rtr.fib.Position(pr.prefix)
-		res.Flows = append(res.Flows, FlowResult{Prefix: pr.prefix, Position: pos, Convergence: conv})
-		l.traceConverge(0, pr, first, conv)
-		l.metrics.observeConvergence(conv)
-		if d := first.end.Sub(failAbs); d > res.DataPlaneDone {
-			res.DataPlaneDone = d
-		}
-	}
-	l.metrics.runDone(r0.fib.Applied())
-	return res, nil
 }
 
 // quantizedGap reproduces the FPGA methodology: the maximum inter-packet

@@ -80,7 +80,7 @@ const (
 	EventSessionReset EventKind = "session-reset"
 	// EventControllerFailover kills the current controller primary. With
 	// replicas left (TimelineConfig.Replicas), a standby — holding the
-	// same deterministic VNH allocation, as in examples/failover — takes
+	// same deterministic VNH allocation (core.AllocDeterministic) — takes
 	// over after the takeover latency (Hold, else TimelineConfig.Takeover,
 	// else 2 s); in-flight FLOW_MODs are replayed by the standby when
 	// TimelineConfig.Durable, lost otherwise (the standby resyncs the
@@ -185,8 +185,8 @@ type TimelineEvent struct {
 	Rate int
 }
 
-// TimelineConfig drives RunTimeline: the single-shot Config timing model
-// (FailAt/SecondFailure/Providers are ignored) plus a parameterized peer
+// TimelineConfig drives RunTimeline: the Config timing model (FailAt is
+// ignored — every event carries its own time) plus a parameterized peer
 // topology and an event timeline.
 type TimelineConfig struct {
 	Config
@@ -297,6 +297,15 @@ type TimelineResult struct {
 // error and no partial result, since a half-drained timeline measures
 // nothing meaningful.
 func RunTimeline(ctx context.Context, cfg TimelineConfig) (*TimelineResult, error) {
+	l, err := newTimelineLab(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return l.runTimeline(ctx)
+}
+
+// newTimelineLab applies the defaults, validates cfg and builds its lab.
+func newTimelineLab(cfg TimelineConfig) (*lab, error) {
 	if cfg.NumPrefixes <= 0 {
 		return nil, fmt.Errorf("sim: NumPrefixes must be positive")
 	}
@@ -316,7 +325,7 @@ func RunTimeline(ctx context.Context, cfg TimelineConfig) (*TimelineResult, erro
 	if l.replicasLeft <= 0 {
 		l.replicasLeft = 1
 	}
-	return l.runTimeline(ctx)
+	return l, nil
 }
 
 // Validate rejects malformed topologies and events up front, so a
@@ -450,8 +459,8 @@ func (cfg *TimelineConfig) Validate() error {
 // maxNoiseUpdates bounds one update-noise event's total UPDATE count.
 const maxNoiseUpdates = 1_000_000
 
-// runTimeline is the timeline counterpart of run: set up steady state,
-// replay the script, drain to quiescence and attribute outages to events.
+// runTimeline sets up steady state, replays the script, drains to
+// quiescence and attributes outages to events.
 func (l *lab) runTimeline(ctx context.Context) (*TimelineResult, error) {
 	cfg := l.cfg
 	l.traceStart()

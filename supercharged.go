@@ -22,8 +22,9 @@
 //     engine driven either virtually (instant, deterministic — the lab
 //     default) or against the wall clock, plus the free-threaded source
 //     the long-running daemon drains;
-//   - internal/sim, internal/lab — the discrete-event convergence lab and
-//     the harness regenerating every figure/table of the paper's §4;
+//   - internal/sim — the discrete-event convergence lab: scripted event
+//     timelines over the Fig. 4 topology, with the paper's single Fig. 5
+//     failure as its one-event Run;
 //   - internal/scenario — the declarative failure-scenario engine: named
 //     event timelines compiled into lab runs with per-event metrics, plus
 //     the scenario fuzzer with a seeded grammar and shrinking minimizer;
@@ -259,25 +260,6 @@ func LookupScenario(name string) (Scenario, bool) { return scenario.Lookup(name)
 
 // RegisterScenario validates and registers a user-defined scenario.
 func RegisterScenario(s Scenario) error { return scenario.Register(s) }
-
-// ScenarioOptions parameterizes one scenario execution.
-//
-// Deprecated: use ScenarioRunner.
-type ScenarioOptions = scenario.Options
-
-// RunScenario executes a scenario and returns its report.
-//
-// Deprecated: use ScenarioRunner.Run.
-func RunScenario(ctx context.Context, s Scenario, opts ScenarioOptions) (*ScenarioReport, error) {
-	return scenario.Run(ctx, s, opts)
-}
-
-// RunScenarioNamed executes a registered scenario by name.
-//
-// Deprecated: use ScenarioRunner.RunNamed.
-func RunScenarioNamed(ctx context.Context, name string, opts ScenarioOptions) (*ScenarioReport, error) {
-	return scenario.RunNamed(ctx, name, opts)
-}
 
 // --- Sweeps: parallel scenario × mode × size × seed execution ----------
 
